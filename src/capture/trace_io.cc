@@ -1,248 +1,226 @@
 #include "capture/trace_io.h"
 
+#include <charconv>
+#include <concepts>
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <system_error>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 namespace ppsim::capture {
 
 namespace {
 
-void write_ip_list(std::ostream& os, const std::vector<net::IpAddress>& ips) {
-  os << ips.size();
-  for (const auto& ip : ips) os << ',' << ip.value();
+/// The record fields of each message type, in file order. The one list
+/// drives both write_trace and parse_record; a message type without a list
+/// fails to compile in both.
+constexpr auto fields(std::type_identity<proto::ChannelListQuery>) {
+  return std::tuple{};
+}
+constexpr auto fields(std::type_identity<proto::ChannelListReply>) {
+  return std::tuple{&proto::ChannelListReply::channels};
+}
+constexpr auto fields(std::type_identity<proto::JoinQuery>) {
+  return std::tuple{&proto::JoinQuery::channel};
+}
+constexpr auto fields(std::type_identity<proto::JoinReply>) {
+  return std::tuple{&proto::JoinReply::channel, &proto::JoinReply::source,
+                    &proto::JoinReply::trackers};
+}
+constexpr auto fields(std::type_identity<proto::TrackerQuery>) {
+  return std::tuple{&proto::TrackerQuery::channel};
+}
+constexpr auto fields(std::type_identity<proto::TrackerReply>) {
+  return std::tuple{&proto::TrackerReply::channel,
+                    &proto::TrackerReply::peers};
+}
+constexpr auto fields(std::type_identity<proto::PeerListQuery>) {
+  return std::tuple{&proto::PeerListQuery::channel,
+                    &proto::PeerListQuery::my_peers};
+}
+constexpr auto fields(std::type_identity<proto::PeerListReply>) {
+  return std::tuple{&proto::PeerListReply::channel,
+                    &proto::PeerListReply::peers};
+}
+constexpr auto fields(std::type_identity<proto::ConnectQuery>) {
+  return std::tuple{&proto::ConnectQuery::channel};
+}
+constexpr auto fields(std::type_identity<proto::ConnectReply>) {
+  return std::tuple{&proto::ConnectReply::channel,
+                    &proto::ConnectReply::accepted, &proto::ConnectReply::map};
+}
+constexpr auto fields(std::type_identity<proto::BufferMapAnnounce>) {
+  return std::tuple{&proto::BufferMapAnnounce::channel,
+                    &proto::BufferMapAnnounce::map};
+}
+constexpr auto fields(std::type_identity<proto::DataQuery>) {
+  return std::tuple{&proto::DataQuery::channel, &proto::DataQuery::chunk};
+}
+constexpr auto fields(std::type_identity<proto::DataReply>) {
+  return std::tuple{&proto::DataReply::channel, &proto::DataReply::chunk,
+                    &proto::DataReply::subpieces,
+                    &proto::DataReply::payload_bytes};
+}
+constexpr auto fields(std::type_identity<proto::Goodbye>) {
+  return std::tuple{&proto::Goodbye::channel};
 }
 
-void write_map(std::ostream& os, const proto::BufferMap& map) {
-  os << map.base << ',' << map.have.size();
-  // Bits packed as hex nibbles to keep lines short.
-  os << ',';
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+// Field writers, one per field type. Numbers (and `accepted`) print in
+// decimal, addresses as their u32 value, lists as a count followed by the
+// elements.
+
+template <std::integral T>
+void write_field(std::ostream& os, T v) {
+  os << v;
+}
+
+void write_field(std::ostream& os, net::IpAddress ip) { os << ip.value(); }
+
+template <class T>
+void write_field(std::ostream& os, const std::vector<T>& list) {
+  os << list.size();
+  for (const T& x : list) {
+    os << ',';
+    write_field(os, x);
+  }
+}
+
+/// base, bit count, then the bits packed MSB-first as hex nibbles to keep
+/// lines short (an empty map leaves the last field empty).
+void write_field(std::ostream& os, const proto::BufferMap& map) {
+  os << map.base << ',' << map.have.size() << ',';
   int nibble = 0, filled = 0;
   for (std::size_t i = 0; i < map.have.size(); ++i) {
     nibble = (nibble << 1) | (map.have[i] ? 1 : 0);
     if (++filled == 4) {
-      os << "0123456789abcdef"[nibble];
+      os << kHexDigits[nibble];
       nibble = 0;
       filled = 0;
     }
   }
-  if (filled > 0) os << "0123456789abcdef"[nibble << (4 - filled)];
+  if (filled > 0) os << kHexDigits[nibble << (4 - filled)];
 }
 
-struct FieldWriter {
-  std::ostream& os;
-
-  void operator()(const proto::ChannelListQuery&) const {}
-  void operator()(const proto::ChannelListReply& m) const {
-    os << m.channels.size();
-    for (auto c : m.channels) os << ',' << c;
-  }
-  void operator()(const proto::JoinQuery& m) const { os << m.channel; }
-  void operator()(const proto::JoinReply& m) const {
-    os << m.channel << ',' << m.source.value() << ',';
-    write_ip_list(os, m.trackers);
-  }
-  void operator()(const proto::TrackerQuery& m) const { os << m.channel; }
-  void operator()(const proto::TrackerReply& m) const {
-    os << m.channel << ',';
-    write_ip_list(os, m.peers);
-  }
-  void operator()(const proto::PeerListQuery& m) const {
-    os << m.channel << ',';
-    write_ip_list(os, m.my_peers);
-  }
-  void operator()(const proto::PeerListReply& m) const {
-    os << m.channel << ',';
-    write_ip_list(os, m.peers);
-  }
-  void operator()(const proto::ConnectQuery& m) const { os << m.channel; }
-  void operator()(const proto::ConnectReply& m) const {
-    os << m.channel << ',' << (m.accepted ? 1 : 0) << ',';
-    write_map(os, m.map);
-  }
-  void operator()(const proto::BufferMapAnnounce& m) const {
-    os << m.channel << ',';
-    write_map(os, m.map);
-  }
-  void operator()(const proto::DataQuery& m) const {
-    os << m.channel << ',' << m.chunk;
-  }
-  void operator()(const proto::DataReply& m) const {
-    os << m.channel << ',' << m.chunk << ',' << m.subpieces << ','
-       << m.payload_bytes;
-  }
-  void operator()(const proto::Goodbye& m) const { os << m.channel; }
-};
-
-/// Tokenizer over the comma-separated tail of a record line.
-class Fields {
+/// The comma-separated fields of one record line, read left to right.
+class Cursor {
  public:
-  explicit Fields(std::istringstream& in) : in_(in) {}
+  explicit Cursor(std::string_view line) : rest_(line) {}
 
-  std::optional<std::uint64_t> u64() {
-    std::string tok;
-    if (!std::getline(in_, tok, ',')) return std::nullopt;
-    try {
-      std::size_t pos = 0;
-      std::uint64_t v = std::stoull(tok, &pos);
-      if (pos != tok.size()) return std::nullopt;
-      return v;
-    } catch (...) {
-      return std::nullopt;
+  /// The next field; nullopt past the last one.
+  std::optional<std::string_view> next() {
+    if (done_) return std::nullopt;
+    const std::size_t comma = rest_.find(',');
+    const std::string_view field = rest_.substr(0, comma);
+    if (comma == std::string_view::npos) {
+      done_ = true;
+    } else {
+      rest_.remove_prefix(comma + 1);
     }
+    return field;
   }
 
-  std::optional<std::string> token() {
-    std::string tok;
-    if (!std::getline(in_, tok, ',')) return std::nullopt;
-    return tok;
-  }
+  bool at_end() const { return done_; }
 
-  std::optional<std::vector<net::IpAddress>> ip_list() {
-    auto n = u64();
-    if (!n) return std::nullopt;
-    std::vector<net::IpAddress> out;
-    out.reserve(static_cast<std::size_t>(*n));
-    for (std::uint64_t i = 0; i < *n; ++i) {
-      auto v = u64();
-      if (!v) return std::nullopt;
-      out.emplace_back(static_cast<std::uint32_t>(*v));
-    }
-    return out;
-  }
-
-  std::optional<proto::BufferMap> map() {
-    auto base = u64();
-    auto bits = u64();
-    auto hex = token();
-    if (!base || !bits || !hex) return std::nullopt;
-    proto::BufferMap m;
-    m.base = *base;
-    m.have.resize(static_cast<std::size_t>(*bits));
-    for (std::size_t i = 0; i < m.have.size(); ++i) {
-      const std::size_t byte = i / 4;
-      if (byte >= hex->size()) return std::nullopt;
-      const char c = (*hex)[byte];
-      int nib;
-      if (c >= '0' && c <= '9')
-        nib = c - '0';
-      else if (c >= 'a' && c <= 'f')
-        nib = c - 'a' + 10;
-      else
-        return std::nullopt;
-      m.have[i] = (nib >> (3 - static_cast<int>(i % 4))) & 1;
-    }
-    return m;
-  }
+  /// How many more nonempty fields the line can hold: the bound on any
+  /// element count read from it.
+  std::size_t capacity() const { return done_ ? 0 : (rest_.size() + 1) / 2; }
 
  private:
-  std::istringstream& in_;
+  std::string_view rest_;
+  bool done_ = false;
 };
 
-std::optional<proto::Message> parse_payload(const std::string& type,
-                                            Fields& f) {
-  using namespace proto;
-  auto channel = [&]() -> std::optional<ChannelId> {
-    auto v = f.u64();
-    if (!v) return std::nullopt;
-    return static_cast<ChannelId>(*v);
-  };
+// Field readers, the writers' inverses. A number must be plain decimal
+// digits that fit the field's own type: no sign (except a signed field's
+// '-'), no whitespace, no overflow.
 
-  if (type == "ChannelListQuery") return Message{ChannelListQuery{}};
-  if (type == "ChannelListReply") {
-    auto n = f.u64();
-    if (!n) return std::nullopt;
-    ChannelListReply m;
-    for (std::uint64_t i = 0; i < *n; ++i) {
-      auto c = f.u64();
-      if (!c) return std::nullopt;
-      m.channels.push_back(static_cast<ChannelId>(*c));
-    }
-    return Message{std::move(m)};
-  }
-  if (type == "JoinQuery") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    return Message{JoinQuery{*c}};
-  }
-  if (type == "JoinReply") {
-    auto c = channel();
-    auto src = f.u64();
-    if (!c || !src) return std::nullopt;
-    auto trackers = f.ip_list();
-    if (!trackers) return std::nullopt;
-    return Message{JoinReply{*c, net::IpAddress(static_cast<std::uint32_t>(*src)),
-                             std::move(*trackers)}};
-  }
-  if (type == "TrackerQuery") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    return Message{TrackerQuery{*c}};
-  }
-  if (type == "TrackerReply") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    auto peers = f.ip_list();
-    if (!peers) return std::nullopt;
-    return Message{TrackerReply{*c, std::move(*peers)}};
-  }
-  if (type == "PeerListQuery") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    auto peers = f.ip_list();
-    if (!peers) return std::nullopt;
-    return Message{PeerListQuery{*c, std::move(*peers)}};
-  }
-  if (type == "PeerListReply") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    auto peers = f.ip_list();
-    if (!peers) return std::nullopt;
-    return Message{PeerListReply{*c, std::move(*peers)}};
-  }
-  if (type == "ConnectQuery") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    return Message{ConnectQuery{*c}};
-  }
-  if (type == "ConnectReply") {
-    auto c = channel();
-    auto accepted = f.u64();
-    if (!c || !accepted) return std::nullopt;
-    auto map = f.map();
-    if (!map) return std::nullopt;
-    return Message{ConnectReply{*c, *accepted != 0, std::move(*map)}};
-  }
-  if (type == "BufferMapAnnounce") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    auto map = f.map();
-    if (!map) return std::nullopt;
-    return Message{BufferMapAnnounce{*c, std::move(*map)}};
-  }
-  if (type == "DataQuery") {
-    auto c = channel();
-    auto chunk = f.u64();
-    if (!c || !chunk) return std::nullopt;
-    return Message{DataQuery{*c, *chunk}};
-  }
-  if (type == "DataReply") {
-    auto c = channel();
-    auto chunk = f.u64();
-    auto sub = f.u64();
-    auto bytes = f.u64();
-    if (!c || !chunk || !sub || !bytes) return std::nullopt;
-    return Message{DataReply{*c, *chunk, static_cast<std::uint32_t>(*sub),
-                             static_cast<std::uint32_t>(*bytes)}};
-  }
-  if (type == "Goodbye") {
-    auto c = channel();
-    if (!c) return std::nullopt;
-    return Message{Goodbye{*c}};
-  }
-  return std::nullopt;
+template <std::integral T>
+bool read_field(Cursor& c, T* v) {
+  const auto f = c.next();
+  if (!f) return false;
+  const char* end = f->data() + f->size();
+  const auto [ptr, ec] = std::from_chars(f->data(), end, *v);
+  return ec == std::errc{} && ptr == end;
 }
+
+bool read_field(Cursor& c, bool* v) {
+  std::uint8_t bit = 0;
+  if (!read_field(c, &bit) || bit > 1) return false;
+  *v = bit == 1;
+  return true;
+}
+
+bool read_field(Cursor& c, net::IpAddress* ip) {
+  std::uint32_t v = 0;
+  if (!read_field(c, &v)) return false;
+  *ip = net::IpAddress(v);
+  return true;
+}
+
+template <class T>
+bool read_field(Cursor& c, std::vector<T>* list) {
+  std::size_t n = 0;
+  if (!read_field(c, &n) || n > c.capacity()) return false;
+  list->resize(n);
+  for (T& x : *list)
+    if (!read_field(c, &x)) return false;
+  return true;
+}
+
+bool read_field(Cursor& c, proto::BufferMap* map) {
+  std::size_t bits = 0;
+  if (!read_field(c, &map->base) || !read_field(c, &bits)) return false;
+  // The hex field holds exactly ceil(bits / 4) digits (none for an empty
+  // map), so its length bounds the bit count.
+  const auto hex = c.next();
+  if (!hex || hex->size() != bits / 4 + (bits % 4 != 0 ? 1 : 0)) return false;
+  map->have.resize(bits);
+  for (std::size_t d = 0; d < hex->size(); ++d) {
+    const char ch = (*hex)[d];
+    int nib;
+    if (ch >= '0' && ch <= '9')
+      nib = ch - '0';
+    else if (ch >= 'a' && ch <= 'f')
+      nib = ch - 'a' + 10;
+    else
+      return false;
+    for (std::size_t i = 4 * d; i < 4 * d + 4; ++i) {
+      const bool bit = ((nib >> (3 - static_cast<int>(i % 4))) & 1) != 0;
+      if (i < bits)
+        map->have[i] = bit;
+      else if (bit)
+        return false;  // padding bits of the last digit must be zero
+    }
+  }
+  return true;
+}
+
+template <class T>
+void write_fields(std::ostream& os, const T& m) {
+  std::apply(
+      [&](auto... field) { ((os << ',', write_field(os, m.*field)), ...); },
+      fields(std::type_identity<T>{}));
+}
+
+using PayloadParser = bool (*)(Cursor&, proto::Message*);
+
+template <class T>
+bool parse_as(Cursor& c, proto::Message* m) {
+  T& msg = m->emplace<T>();
+  return std::apply(
+      [&](auto... field) { return (read_field(c, &(msg.*field)) && ...); },
+      fields(std::type_identity<T>{}));
+}
+
+/// Indexed by variant index.
+constexpr auto kParsers = proto::per_message_type([](auto type) {
+  return PayloadParser{&parse_as<typename decltype(type)::type>};
+});
 
 }  // namespace
 
@@ -252,10 +230,7 @@ std::size_t write_trace(std::ostream& os, const PacketTrace& trace) {
        << (rec.direction == net::Direction::kOutgoing ? "out" : "in") << ','
        << rec.local.value() << ',' << rec.remote.value() << ','
        << rec.wire_bytes << ',' << proto::message_name(rec.payload);
-    std::ostringstream fields;
-    std::visit(FieldWriter{fields}, rec.payload);
-    const std::string tail = fields.str();
-    if (!tail.empty()) os << ',' << tail;
+    std::visit([&os](const auto& m) { write_fields(os, m); }, rec.payload);
     os << '\n';
   }
   return trace.size();
@@ -268,38 +243,26 @@ bool write_trace_file(const std::string& path, const PacketTrace& trace) {
   return static_cast<bool>(out);
 }
 
-std::optional<TraceRecord> parse_record(const std::string& line) {
-  std::istringstream in(line);
-  Fields f(in);
-  auto time_us = [&]() -> std::optional<std::int64_t> {
-    auto tok = f.token();
-    if (!tok) return std::nullopt;
-    try {
-      return std::stoll(*tok);
-    } catch (...) {
-      return std::nullopt;
-    }
-  }();
-  auto dir = f.token();
-  auto local = f.u64();
-  auto remote = f.u64();
-  auto bytes = f.u64();
-  auto type = f.token();
-  if (!time_us || !dir || !local || !remote || !bytes || !type)
-    return std::nullopt;
-  if (*dir != "out" && *dir != "in") return std::nullopt;
-
-  auto payload = parse_payload(*type, f);
-  if (!payload) return std::nullopt;
-
+std::optional<TraceRecord> parse_record(std::string_view line) {
+  Cursor c(line);
   TraceRecord rec;
-  rec.time = sim::Time::micros(*time_us);
-  rec.direction =
-      *dir == "out" ? net::Direction::kOutgoing : net::Direction::kIncoming;
-  rec.local = net::IpAddress(static_cast<std::uint32_t>(*local));
-  rec.remote = net::IpAddress(static_cast<std::uint32_t>(*remote));
-  rec.wire_bytes = *bytes;
-  rec.payload = std::move(*payload);
+  std::int64_t time_us = 0;
+  if (!read_field(c, &time_us)) return std::nullopt;
+  rec.time = sim::Time::micros(time_us);
+  const auto dir = c.next();
+  if (dir == "out")
+    rec.direction = net::Direction::kOutgoing;
+  else if (dir == "in")
+    rec.direction = net::Direction::kIncoming;
+  else
+    return std::nullopt;
+  if (!read_field(c, &rec.local) || !read_field(c, &rec.remote) ||
+      !read_field(c, &rec.wire_bytes))
+    return std::nullopt;
+  const auto type = c.next();
+  const auto index = type ? proto::message_index(*type) : std::nullopt;
+  if (!index || !kParsers[*index](c, &rec.payload) || !c.at_end())
+    return std::nullopt;
   return rec;
 }
 

@@ -3,6 +3,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "capture/trace.h"
 
@@ -28,8 +29,11 @@ std::size_t write_trace(std::ostream& os, const PacketTrace& trace);
 /// Convenience: writes to a file, returning false on I/O failure.
 bool write_trace_file(const std::string& path, const PacketTrace& trace);
 
-/// Parses one serialized record; nullopt on malformed input.
-std::optional<TraceRecord> parse_record(const std::string& line);
+/// Parses one serialized record; nullopt on malformed input. Every number
+/// must fit its field's own width as plain decimal digits, element and bit
+/// counts must fit what the rest of the line holds, and nothing may follow
+/// the type's last field.
+std::optional<TraceRecord> parse_record(std::string_view line);
 
 /// Reads records until EOF; malformed lines are skipped and counted in
 /// `dropped` when provided.

@@ -1,5 +1,8 @@
 #include "proto/message.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace ppsim::proto {
 
 namespace {
@@ -42,40 +45,25 @@ struct SizeVisitor {
   std::uint64_t operator()(const Goodbye&) const { return 12; }
 };
 
-struct NameVisitor {
-  std::string_view operator()(const ChannelListQuery&) const {
-    return "ChannelListQuery";
-  }
-  std::string_view operator()(const ChannelListReply&) const {
-    return "ChannelListReply";
-  }
-  std::string_view operator()(const JoinQuery&) const { return "JoinQuery"; }
-  std::string_view operator()(const JoinReply&) const { return "JoinReply"; }
-  std::string_view operator()(const TrackerQuery&) const {
-    return "TrackerQuery";
-  }
-  std::string_view operator()(const TrackerReply&) const {
-    return "TrackerReply";
-  }
-  std::string_view operator()(const PeerListQuery&) const {
-    return "PeerListQuery";
-  }
-  std::string_view operator()(const PeerListReply&) const {
-    return "PeerListReply";
-  }
-  std::string_view operator()(const ConnectQuery&) const {
-    return "ConnectQuery";
-  }
-  std::string_view operator()(const ConnectReply&) const {
-    return "ConnectReply";
-  }
-  std::string_view operator()(const BufferMapAnnounce&) const {
-    return "BufferMapAnnounce";
-  }
-  std::string_view operator()(const DataQuery&) const { return "DataQuery"; }
-  std::string_view operator()(const DataReply&) const { return "DataReply"; }
-  std::string_view operator()(const Goodbye&) const { return "Goodbye"; }
+/// Message names, indexed by variant index.
+constexpr std::string_view kNames[] = {
+    "ChannelListQuery",
+    "ChannelListReply",
+    "JoinQuery",
+    "JoinReply",
+    "TrackerQuery",
+    "TrackerReply",
+    "PeerListQuery",
+    "PeerListReply",
+    "ConnectQuery",
+    "ConnectReply",
+    "BufferMapAnnounce",
+    "DataQuery",
+    "DataReply",
+    "Goodbye",
 };
+static_assert(std::size(kNames) == std::variant_size_v<Message>,
+              "every Message alternative needs a name, in variant order");
 
 }  // namespace
 
@@ -83,8 +71,12 @@ std::uint64_t wire_size(const Message& m) {
   return kIpUdpHeader + std::visit(SizeVisitor{}, m);
 }
 
-std::string_view message_name(const Message& m) {
-  return std::visit(NameVisitor{}, m);
+std::string_view message_name(const Message& m) { return kNames[m.index()]; }
+
+std::optional<std::size_t> message_index(std::string_view name) {
+  const auto* it = std::ranges::find(kNames, name);
+  if (it == std::end(kNames)) return std::nullopt;
+  return static_cast<std::size_t>(it - std::begin(kNames));
 }
 
 }  // namespace ppsim::proto

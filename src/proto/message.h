@@ -1,7 +1,12 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -125,11 +130,34 @@ struct Goodbye {
   SpanContext span{};
 };
 
+/// The one list of message types. Every per-type table (names, wire size,
+/// wire codec bodies, capture fields) is derived from it, so adding an
+/// alternative without its entries fails to compile at each table.
 using Message =
     std::variant<ChannelListQuery, ChannelListReply, JoinQuery, JoinReply,
                  TrackerQuery, TrackerReply, PeerListQuery, PeerListReply,
                  ConnectQuery, ConnectReply, BufferMapAnnounce, DataQuery,
                  DataReply, Goodbye>;
+
+static_assert(
+    []<std::size_t... I>(std::index_sequence<I...>) {
+      return (std::is_same_v<
+                  decltype(std::variant_alternative_t<I, Message>::span),
+                  SpanContext> &&
+              ...);
+    }(std::make_index_sequence<std::variant_size_v<Message>>{}),
+    "every Message alternative carries a `SpanContext span` member");
+
+/// A table with one entry per Message alternative, in variant order:
+/// entry i is `make(std::type_identity<alternative i>{})`. Dispatching on
+/// m.index() through such a table needs no per-type list of its own.
+template <class Make>
+constexpr auto per_message_type(Make make) {
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array{
+        make(std::type_identity<std::variant_alternative_t<I, Message>>{})...};
+  }(std::make_index_sequence<std::variant_size_v<Message>>{});
+}
 
 /// Bytes this message occupies on the wire (IP+UDP header plus a
 /// protocol-shaped payload estimate). Drives access-link serialization.
@@ -137,5 +165,9 @@ std::uint64_t wire_size(const Message& m);
 
 /// Short name for traces and debugging, e.g. "DataQuery".
 std::string_view message_name(const Message& m);
+
+/// The variant index of the type named `name` (message_name's inverse), or
+/// nullopt for a name no alternative has.
+std::optional<std::size_t> message_index(std::string_view name);
 
 }  // namespace ppsim::proto

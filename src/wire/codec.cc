@@ -1,6 +1,8 @@
 #include "wire/codec.h"
 
 #include <cassert>
+#include <optional>
+#include <type_traits>
 
 namespace ppsim::wire {
 
@@ -85,158 +87,142 @@ bool get_bitmap(const std::uint8_t* p, std::size_t bytes,
   return true;
 }
 
-struct EncodeVisitor {
-  std::vector<std::uint8_t>* out;
-  std::uint16_t epoch;
+/// Body layouts that several message types share are written once, as a
+/// template constrained to exactly those types.
+template <class T, class... U>
+concept OneOf = (std::is_same_v<T, U> || ...);
 
-  void header(Tag tag, std::uint16_t aux) const {
-    put_u16(out, kMagic);
-    out->push_back(kVersion);
-    out->push_back(static_cast<std::uint8_t>(tag));
-    put_u16(out, epoch);
-    put_u16(out, aux);
-  }
+// Body encoders, one overload per body layout. Each appends the body after
+// the header and returns the header's aux bits, or nullopt when the
+// message has no v1 encoding. A message type without an overload fails to
+// compile in encode_message.
 
-  WireError operator()(const proto::ChannelListQuery&) const {
-    header(Tag::kChannelListQuery, 0);
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::ChannelListReply& m) const {
-    header(Tag::kChannelListReply, 0);
-    for (const auto c : m.channels) put_u32(out, c);
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::JoinQuery& m) const {
-    header(Tag::kJoinQuery, 0);
-    put_u32(out, m.channel);
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::JoinReply& m) const {
-    header(Tag::kJoinReply, 0);
-    put_u32(out, m.channel);
-    put_u32(out, m.source.value());
-    for (const auto t : m.trackers) put_addr(out, t);
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::TrackerQuery& m) const {
-    header(Tag::kTrackerQuery, 0);
-    put_u32(out, m.channel);
-    put_u32(out, 0);  // reserved
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::TrackerReply& m) const {
-    header(Tag::kTrackerReply, 0);
-    put_u32(out, m.channel);
-    for (const auto p : m.peers) put_addr(out, p);
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::PeerListQuery& m) const {
-    header(Tag::kPeerListQuery, 0);
-    put_u32(out, m.channel);
-    for (const auto p : m.my_peers) put_addr(out, p);
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::PeerListReply& m) const {
-    header(Tag::kPeerListReply, 0);
-    put_u32(out, m.channel);
-    for (const auto p : m.peers) put_addr(out, p);
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::ConnectQuery& m) const {
-    header(Tag::kConnectQuery, 0);
-    put_u32(out, m.channel);
-    put_u32(out, 0);  // reserved
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::ConnectReply& m) const {
-    const auto trailing =
-        static_cast<std::uint16_t>(m.map.have.size() % 8);
-    header(Tag::kConnectReply,
-           static_cast<std::uint16_t>((m.accepted ? kAuxAcceptedBit : 0) |
-                                      trailing));
-    put_u32(out, m.channel);
-    put_u64(out, m.map.base);
-    put_bitmap(out, m.map.have);
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::BufferMapAnnounce& m) const {
-    header(Tag::kBufferMapAnnounce,
-           static_cast<std::uint16_t>(m.map.have.size() % 8));
-    put_u32(out, m.channel);
-    put_u64(out, m.map.base);
-    put_bitmap(out, m.map.have);
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::DataQuery& m) const {
-    header(Tag::kDataQuery, 0);
-    put_u32(out, m.channel);
-    put_u64(out, m.chunk);
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::DataReply& m) const {
-    // The sim charges payload + one 12-byte protocol header + one extra
-    // IP+UDP header per additional sub-piece; the v1 datagram spends 28
-    // bytes on real fields and zero-fills the rest of that budget. A reply
-    // whose budget is below the fixed fields (payload_bytes < 16 with at
-    // most one sub-piece — never produced by the protocol) has no encoding.
-    const std::uint64_t total =
-        12 + m.payload_bytes +
-        kIpUdpHeader * (m.subpieces > 0 ? m.subpieces - 1 : 0);
-    if (total < kHeaderBytes + 20 || total > kMaxDatagram)
-      return WireError::kUnencodable;
-    header(Tag::kDataReply, 0);
-    put_u32(out, m.channel);
-    put_u64(out, m.chunk);
-    put_u32(out, m.subpieces);
-    put_u32(out, m.payload_bytes);
-    out->resize(static_cast<std::size_t>(total), 0);
-    return WireError::kOk;
-  }
-  WireError operator()(const proto::Goodbye& m) const {
-    header(Tag::kGoodbye, 0);
-    put_u32(out, m.channel);
-    return WireError::kOk;
-  }
-};
+using Aux = std::optional<std::uint16_t>;
 
-/// Body decoders. `p` points at the body (after the header), `len` is the
-/// body length in bytes; header fields arrive pre-validated except aux,
-/// which each decoder owns.
-
-WireError expect_aux_zero(std::uint16_t aux) {
-  return aux == 0 ? WireError::kOk : WireError::kBadAux;
+Aux put_body(const proto::ChannelListQuery&, std::vector<std::uint8_t>*) {
+  return 0;
 }
 
-WireError decode_channel_list_query(const std::uint8_t*, std::size_t len,
-                                    std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
-  if (len != 0) return WireError::kBadLength;
-  *m = proto::ChannelListQuery{};
-  return WireError::kOk;
+Aux put_body(const proto::ChannelListReply& m,
+             std::vector<std::uint8_t>* out) {
+  for (const auto c : m.channels) put_u32(out, c);
+  return 0;
 }
 
-WireError decode_channel_list_reply(const std::uint8_t* p, std::size_t len,
-                                    std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
+/// u32 channel.
+template <OneOf<proto::JoinQuery, proto::Goodbye> T>
+Aux put_body(const T& m, std::vector<std::uint8_t>* out) {
+  put_u32(out, m.channel);
+  return 0;
+}
+
+Aux put_body(const proto::JoinReply& m, std::vector<std::uint8_t>* out) {
+  put_u32(out, m.channel);
+  put_u32(out, m.source.value());
+  for (const auto t : m.trackers) put_addr(out, t);
+  return 0;
+}
+
+/// u32 channel, u32 reserved.
+template <OneOf<proto::TrackerQuery, proto::ConnectQuery> T>
+Aux put_body(const T& m, std::vector<std::uint8_t>* out) {
+  put_u32(out, m.channel);
+  put_u32(out, 0);
+  return 0;
+}
+
+/// u32 channel, address list.
+template <OneOf<proto::TrackerReply, proto::PeerListQuery,
+                proto::PeerListReply> T>
+Aux put_body(const T& m, std::vector<std::uint8_t>* out) {
+  [[maybe_unused]] const auto& [channel, addrs, span] = m;
+  put_u32(out, channel);
+  for (const auto a : addrs) put_addr(out, a);
+  return 0;
+}
+
+/// u32 channel, u64 map base, bitmap; returns the trailing-bit count.
+std::uint16_t put_map_body(proto::ChannelId channel,
+                           const proto::BufferMap& map,
+                           std::vector<std::uint8_t>* out) {
+  put_u32(out, channel);
+  put_u64(out, map.base);
+  put_bitmap(out, map.have);
+  return static_cast<std::uint16_t>(map.have.size() % 8);
+}
+
+Aux put_body(const proto::ConnectReply& m, std::vector<std::uint8_t>* out) {
+  return static_cast<std::uint16_t>(put_map_body(m.channel, m.map, out) |
+                                    (m.accepted ? kAuxAcceptedBit : 0));
+}
+
+Aux put_body(const proto::BufferMapAnnounce& m,
+             std::vector<std::uint8_t>* out) {
+  return put_map_body(m.channel, m.map, out);
+}
+
+Aux put_body(const proto::DataQuery& m, std::vector<std::uint8_t>* out) {
+  put_u32(out, m.channel);
+  put_u64(out, m.chunk);
+  return 0;
+}
+
+Aux put_body(const proto::DataReply& m, std::vector<std::uint8_t>* out) {
+  // The sim charges payload + one 12-byte protocol header + one extra
+  // IP+UDP header per additional sub-piece; the v1 datagram spends 28
+  // bytes on real fields and zero-fills the rest of that budget. A reply
+  // whose budget is below the fixed fields (payload_bytes < 16 with at
+  // most one sub-piece — never produced by the protocol) has no encoding.
+  const std::uint64_t total =
+      12 + m.payload_bytes +
+      kIpUdpHeader * (m.subpieces > 0 ? m.subpieces - 1 : 0);
+  if (total < kHeaderBytes + 20 || total > kMaxDatagram) return std::nullopt;
+  put_u32(out, m.channel);
+  put_u64(out, m.chunk);
+  put_u32(out, m.subpieces);
+  put_u32(out, m.payload_bytes);
+  out->resize(static_cast<std::size_t>(total), 0);
+  return 0;
+}
+
+// Body decoders, one overload per body layout, filling the message in
+// place. `p` points at the body (after the header) and `len` is its length
+// in bytes; the header, aux included, arrives validated. A message type
+// without an overload fails to compile in kDecoders.
+
+/// The aux bits a message type defines; all others must be zero.
+template <class T>
+constexpr std::uint16_t kAuxBits = 0;
+template <>
+constexpr std::uint16_t kAuxBits<proto::ConnectReply> =
+    kAuxAcceptedBit | kAuxTrailingMask;
+template <>
+constexpr std::uint16_t kAuxBits<proto::BufferMapAnnounce> = kAuxTrailingMask;
+
+WireError get_body(const std::uint8_t*, std::size_t len, std::uint16_t,
+                   proto::ChannelListQuery*) {
+  return len == 0 ? WireError::kOk : WireError::kBadLength;
+}
+
+WireError get_body(const std::uint8_t* p, std::size_t len, std::uint16_t,
+                   proto::ChannelListReply* m) {
   if (len % 4 != 0) return WireError::kBadLength;
-  proto::ChannelListReply r;
-  r.channels.reserve(len / 4);
-  for (std::size_t i = 0; i < len; i += 4) r.channels.push_back(get_u32(p + i));
-  *m = std::move(r);
+  m->channels.reserve(len / 4);
+  for (std::size_t i = 0; i < len; i += 4) m->channels.push_back(get_u32(p + i));
   return WireError::kOk;
 }
 
-WireError decode_join_query(const std::uint8_t* p, std::size_t len,
-                            std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
+template <OneOf<proto::JoinQuery, proto::Goodbye> T>
+WireError get_body(const std::uint8_t* p, std::size_t len, std::uint16_t,
+                   T* m) {
   if (len != 4) return WireError::kBadLength;
-  *m = proto::JoinQuery{get_u32(p)};
+  m->channel = get_u32(p);
   return WireError::kOk;
 }
 
 /// Shared 6-byte address-list tail of JoinReply/TrackerReply/PeerList*.
-WireError decode_addr_list(const std::uint8_t* p, std::size_t len,
-                           std::vector<net::IpAddress>* out) {
+WireError get_addr_list(const std::uint8_t* p, std::size_t len,
+                        std::vector<net::IpAddress>* out) {
   if (len % 6 != 0) return WireError::kBadLength;
   out->reserve(len / 6);
   for (std::size_t i = 0; i < len; i += 6) {
@@ -246,80 +232,36 @@ WireError decode_addr_list(const std::uint8_t* p, std::size_t len,
   return WireError::kOk;
 }
 
-WireError decode_join_reply(const std::uint8_t* p, std::size_t len,
-                            std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
+WireError get_body(const std::uint8_t* p, std::size_t len, std::uint16_t,
+                   proto::JoinReply* m) {
   if (len < 8) return WireError::kTruncated;
-  proto::JoinReply r;
-  r.channel = get_u32(p);
-  r.source = net::IpAddress(get_u32(p + 4));
-  if (const auto e = decode_addr_list(p + 8, len - 8, &r.trackers);
-      e != WireError::kOk)
-    return e;
-  *m = std::move(r);
-  return WireError::kOk;
+  m->channel = get_u32(p);
+  m->source = net::IpAddress(get_u32(p + 4));
+  return get_addr_list(p + 8, len - 8, &m->trackers);
 }
 
-WireError decode_tracker_query(const std::uint8_t* p, std::size_t len,
-                               std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
+template <OneOf<proto::TrackerQuery, proto::ConnectQuery> T>
+WireError get_body(const std::uint8_t* p, std::size_t len, std::uint16_t,
+                   T* m) {
   if (len != 8) return WireError::kBadLength;
   if (get_u32(p + 4) != 0) return WireError::kBadReserved;
-  *m = proto::TrackerQuery{get_u32(p)};
+  m->channel = get_u32(p);
   return WireError::kOk;
 }
 
-WireError decode_tracker_reply(const std::uint8_t* p, std::size_t len,
-                               std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
+template <OneOf<proto::TrackerReply, proto::PeerListQuery,
+                proto::PeerListReply> T>
+WireError get_body(const std::uint8_t* p, std::size_t len, std::uint16_t,
+                   T* m) {
   if (len < 4) return WireError::kTruncated;
-  proto::TrackerReply r;
-  r.channel = get_u32(p);
-  if (const auto e = decode_addr_list(p + 4, len - 4, &r.peers);
-      e != WireError::kOk)
-    return e;
-  *m = std::move(r);
-  return WireError::kOk;
+  [[maybe_unused]] auto& [channel, addrs, span] = *m;
+  channel = get_u32(p);
+  return get_addr_list(p + 4, len - 4, &addrs);
 }
 
-WireError decode_peer_list_query(const std::uint8_t* p, std::size_t len,
-                                 std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
-  if (len < 4) return WireError::kTruncated;
-  proto::PeerListQuery r;
-  r.channel = get_u32(p);
-  if (const auto e = decode_addr_list(p + 4, len - 4, &r.my_peers);
-      e != WireError::kOk)
-    return e;
-  *m = std::move(r);
-  return WireError::kOk;
-}
-
-WireError decode_peer_list_reply(const std::uint8_t* p, std::size_t len,
-                                 std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
-  if (len < 4) return WireError::kTruncated;
-  proto::PeerListReply r;
-  r.channel = get_u32(p);
-  if (const auto e = decode_addr_list(p + 4, len - 4, &r.peers);
-      e != WireError::kOk)
-    return e;
-  *m = std::move(r);
-  return WireError::kOk;
-}
-
-WireError decode_connect_query(const std::uint8_t* p, std::size_t len,
-                               std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
-  if (len != 8) return WireError::kBadLength;
-  if (get_u32(p + 4) != 0) return WireError::kBadReserved;
-  *m = proto::ConnectQuery{get_u32(p)};
-  return WireError::kOk;
-}
-
-WireError decode_bitmap_body(const std::uint8_t* p, std::size_t len,
-                             std::uint16_t trailing, proto::ChannelId* channel,
-                             proto::BufferMap* map) {
+WireError get_map_body(const std::uint8_t* p, std::size_t len,
+                       std::uint16_t trailing, proto::ChannelId* channel,
+                       proto::BufferMap* map) {
   if (len < 12) return WireError::kTruncated;
   const std::size_t bitmap_bytes = len - 12;
   if (bitmap_bytes == 0 && trailing != 0) return WireError::kBadLength;
@@ -330,69 +272,55 @@ WireError decode_bitmap_body(const std::uint8_t* p, std::size_t len,
   return WireError::kOk;
 }
 
-WireError decode_connect_reply(const std::uint8_t* p, std::size_t len,
-                               std::uint16_t aux, proto::Message* m) {
-  if ((aux & ~(kAuxAcceptedBit | kAuxTrailingMask)) != 0)
-    return WireError::kBadAux;
-  proto::ConnectReply r;
-  r.accepted = (aux & kAuxAcceptedBit) != 0;
-  if (const auto e = decode_bitmap_body(p, len, aux & kAuxTrailingMask,
-                                        &r.channel, &r.map);
-      e != WireError::kOk)
-    return e;
-  *m = std::move(r);
-  return WireError::kOk;
+WireError get_body(const std::uint8_t* p, std::size_t len, std::uint16_t aux,
+                   proto::ConnectReply* m) {
+  m->accepted = (aux & kAuxAcceptedBit) != 0;
+  return get_map_body(p, len, aux & kAuxTrailingMask, &m->channel, &m->map);
 }
 
-WireError decode_buffer_map_announce(const std::uint8_t* p, std::size_t len,
-                                     std::uint16_t aux, proto::Message* m) {
-  if ((aux & ~kAuxTrailingMask) != 0) return WireError::kBadAux;
-  proto::BufferMapAnnounce r;
-  if (const auto e = decode_bitmap_body(p, len, aux & kAuxTrailingMask,
-                                        &r.channel, &r.map);
-      e != WireError::kOk)
-    return e;
-  *m = std::move(r);
-  return WireError::kOk;
+WireError get_body(const std::uint8_t* p, std::size_t len, std::uint16_t aux,
+                   proto::BufferMapAnnounce* m) {
+  return get_map_body(p, len, aux, &m->channel, &m->map);
 }
 
-WireError decode_data_query(const std::uint8_t* p, std::size_t len,
-                            std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
+WireError get_body(const std::uint8_t* p, std::size_t len, std::uint16_t,
+                   proto::DataQuery* m) {
   if (len != 12) return WireError::kBadLength;
-  proto::DataQuery r;
-  r.channel = get_u32(p);
-  r.chunk = get_u64(p + 4);
-  *m = r;
+  m->channel = get_u32(p);
+  m->chunk = get_u64(p + 4);
   return WireError::kOk;
 }
 
-WireError decode_data_reply(const std::uint8_t* p, std::size_t len,
-                            std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
+WireError get_body(const std::uint8_t* p, std::size_t len, std::uint16_t,
+                   proto::DataReply* m) {
   if (len < 20) return WireError::kTruncated;
-  proto::DataReply r;
-  r.channel = get_u32(p);
-  r.chunk = get_u64(p + 4);
-  r.subpieces = get_u32(p + 12);
-  r.payload_bytes = get_u32(p + 16);
+  m->channel = get_u32(p);
+  m->chunk = get_u64(p + 4);
+  m->subpieces = get_u32(p + 12);
+  m->payload_bytes = get_u32(p + 16);
   const std::uint64_t expected =
-      4 + r.payload_bytes +
-      kIpUdpHeader * (r.subpieces > 0 ? r.subpieces - 1 : 0);
+      4 + m->payload_bytes +
+      kIpUdpHeader * (m->subpieces > 0 ? m->subpieces - 1 : 0);
   if (expected != len) return WireError::kBadLength;
   for (std::size_t i = 20; i < len; ++i)
     if (p[i] != 0) return WireError::kBadReserved;
-  *m = r;
   return WireError::kOk;
 }
 
-WireError decode_goodbye(const std::uint8_t* p, std::size_t len,
-                         std::uint16_t aux, proto::Message* m) {
-  if (const auto e = expect_aux_zero(aux); e != WireError::kOk) return e;
-  if (len != 4) return WireError::kBadLength;
-  *m = proto::Goodbye{get_u32(p)};
-  return WireError::kOk;
+using BodyDecoder = WireError (*)(const std::uint8_t*, std::size_t,
+                                  std::uint16_t, proto::Message*);
+
+template <class T>
+WireError decode_as(const std::uint8_t* p, std::size_t len, std::uint16_t aux,
+                    proto::Message* m) {
+  if ((aux & ~kAuxBits<T>) != 0) return WireError::kBadAux;
+  return get_body(p, len, aux, &m->emplace<T>());
 }
+
+/// Indexed by tag (== variant index).
+constexpr auto kDecoders = proto::per_message_type([](auto type) {
+  return BodyDecoder{&decode_as<typename decltype(type)::type>};
+});
 
 }  // namespace
 
@@ -415,11 +343,19 @@ std::string_view wire_error_name(WireError e) {
 WireError encode_message(const proto::Message& m, std::uint16_t epoch,
                          std::vector<std::uint8_t>* out) {
   out->clear();
-  const WireError e = std::visit(EncodeVisitor{out, epoch}, m);
-  if (e != WireError::kOk) {
+  put_u16(out, kMagic);
+  out->push_back(kVersion);
+  out->push_back(static_cast<std::uint8_t>(m.index()));
+  put_u16(out, epoch);
+  put_u16(out, 0);  // aux, known once the body is written
+  const Aux aux =
+      std::visit([out](const auto& msg) { return put_body(msg, out); }, m);
+  if (!aux) {
     out->clear();
-    return e;
+    return WireError::kUnencodable;
   }
+  (*out)[6] = static_cast<std::uint8_t>(*aux >> 8);
+  (*out)[7] = static_cast<std::uint8_t>(*aux);
   assert(out->size() == proto::wire_size(m) - kIpUdpHeader &&
          "encoded datagram must fill the sim's wire-size budget exactly");
   return WireError::kOk;
@@ -444,67 +380,12 @@ DecodeResult decode_message(const std::uint8_t* data, std::size_t len,
     result.error = WireError::kBadEpoch;
     return result;
   }
-  if (data[3] >= kNumTags) {
+  if (data[3] >= kDecoders.size()) {
     result.error = WireError::kBadTag;
     return result;
   }
-  const auto tag = static_cast<Tag>(data[3]);
-  const std::uint16_t aux = get_u16(data + 6);
-  const std::uint8_t* body = data + kHeaderBytes;
-  const std::size_t body_len = len - kHeaderBytes;
-  switch (tag) {
-    case Tag::kChannelListQuery:
-      result.error =
-          decode_channel_list_query(body, body_len, aux, &result.message);
-      break;
-    case Tag::kChannelListReply:
-      result.error =
-          decode_channel_list_reply(body, body_len, aux, &result.message);
-      break;
-    case Tag::kJoinQuery:
-      result.error = decode_join_query(body, body_len, aux, &result.message);
-      break;
-    case Tag::kJoinReply:
-      result.error = decode_join_reply(body, body_len, aux, &result.message);
-      break;
-    case Tag::kTrackerQuery:
-      result.error =
-          decode_tracker_query(body, body_len, aux, &result.message);
-      break;
-    case Tag::kTrackerReply:
-      result.error =
-          decode_tracker_reply(body, body_len, aux, &result.message);
-      break;
-    case Tag::kPeerListQuery:
-      result.error =
-          decode_peer_list_query(body, body_len, aux, &result.message);
-      break;
-    case Tag::kPeerListReply:
-      result.error =
-          decode_peer_list_reply(body, body_len, aux, &result.message);
-      break;
-    case Tag::kConnectQuery:
-      result.error =
-          decode_connect_query(body, body_len, aux, &result.message);
-      break;
-    case Tag::kConnectReply:
-      result.error =
-          decode_connect_reply(body, body_len, aux, &result.message);
-      break;
-    case Tag::kBufferMapAnnounce:
-      result.error =
-          decode_buffer_map_announce(body, body_len, aux, &result.message);
-      break;
-    case Tag::kDataQuery:
-      result.error = decode_data_query(body, body_len, aux, &result.message);
-      break;
-    case Tag::kDataReply:
-      result.error = decode_data_reply(body, body_len, aux, &result.message);
-      break;
-    case Tag::kGoodbye:
-      result.error = decode_goodbye(body, body_len, aux, &result.message);
-      break;
-  }
+  result.error = kDecoders[data[3]](data + kHeaderBytes, len - kHeaderBytes,
+                                    get_u16(data + 6), &result.message);
   if (result.error == WireError::kOk) {
     assert(proto::wire_size(result.message) == len + kIpUdpHeader &&
            "decoded message must charge the same wire bytes it arrived in");

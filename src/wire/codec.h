@@ -19,7 +19,8 @@ namespace ppsim::wire {
 ///   |  u16  | u8  | u8  |  u16  | u16 |   |                     |
 ///   +-------+-----+-----+-------+-----+   +---------------------+
 ///
-/// and its total length is *exactly* `proto::wire_size(m) - kIpUdpHeader`:
+/// The tag is the message's index in the proto::Message variant. The
+/// datagram's total length is *exactly* `proto::wire_size(m) - kIpUdpHeader`:
 /// the sim's wire-size model already budgets the 28-byte IP+UDP header, so
 /// the encoded datagram fills the remaining payload budget byte-for-byte.
 /// That identity is the sim/wire contract — a packet on the real wire
@@ -34,29 +35,6 @@ inline constexpr std::uint64_t kIpUdpHeader = 28;
 /// Largest datagram the transport will encode or accept (a DataReply for a
 /// jumbo chunk still fits far below this).
 inline constexpr std::size_t kMaxDatagram = 60000;
-
-/// Message tag carried in the header, one per proto::Message variant, value
-/// == the variant's index in the proto::Message std::variant. The audit's
-/// completeness pass cross-checks this enum, the encode/decode branches and
-/// the docs/WIRE.md packet table against the variant list in both
-/// directions (tools/lint/pass_completeness.cc).
-enum class Tag : std::uint8_t {
-  kChannelListQuery = 0,
-  kChannelListReply = 1,
-  kJoinQuery = 2,
-  kJoinReply = 3,
-  kTrackerQuery = 4,
-  kTrackerReply = 5,
-  kPeerListQuery = 6,
-  kPeerListReply = 7,
-  kConnectQuery = 8,
-  kConnectReply = 9,
-  kBufferMapAnnounce = 10,
-  kDataQuery = 11,
-  kDataReply = 12,
-  kGoodbye = 13,
-};
-inline constexpr std::uint8_t kNumTags = 14;
 
 /// Decode (and one encode) failure codes. Distinct per failure shape so
 /// the transport's RxErrors counters and the fuzz tests can tell a short

@@ -15,8 +15,9 @@ struct Ping {
   SpanContext span{};
 };
 
-struct Pong {  // completeness: span-member (no SpanContext)
+struct Pong {
   std::uint64_t nonce = 0;
+  SpanContext span{};
 };
 
 struct Stray {  // completeness: variant-membership (not in the variant)

@@ -1,15 +1,11 @@
-// Fixture: wire codec tag table with completeness holes.
+// Fixture: the real-wire layer exists, so docs/WIRE.md
+// must document its packet table (see docs/WIRE.md for the holes).
 #pragma once
 #include <cstdint>
 
 #include "proto/message.h"
 
 namespace ppsim::wire {
-
-enum class Tag : std::uint8_t {
-  kPing = 0,
-  kStale = 1,  // completeness: wire-tag (not a Message variant member)
-};
 
 std::uint8_t encode(const proto::Message& m);
 

@@ -1,14 +1,11 @@
-// Fixture: complete wire codec tag table for the single-message variant.
+// Fixture: the real-wire layer exists, so docs/WIRE.md
+// must document its packet table.
 #pragma once
 #include <cstdint>
 
 #include "proto/message.h"
 
 namespace ppsim::wire {
-
-enum class Tag : std::uint8_t {
-  kPing = 0,
-};
 
 std::uint8_t encode(const proto::Message& m);
 

@@ -64,7 +64,7 @@ TEST(LintRegistry, FivePassesInOrder) {
 
 TEST(LintGoodTree, NoFindings) {
   const Tree tree = load("goodtree");
-  EXPECT_EQ(tree.files.size(), 13u);
+  EXPECT_EQ(tree.files.size(), 10u);
   const std::vector<Finding> findings = run_all(tree);
   EXPECT_TRUE(findings.empty()) << findings.size() << " findings; first: "
                                 << (findings.empty()
@@ -101,19 +101,9 @@ TEST(LintBadTree, FloatOrderFindings) {
 
 TEST(LintBadTree, CompletenessFindings) {
   const std::vector<Finding> f = run_all(load("badtree"));
-  // Variant / struct / span-member triangulation.
-  EXPECT_TRUE(has(f, "proto/message.h", 22, "variant-membership", "Stray"));
-  EXPECT_TRUE(has(f, "proto/message.h", 27, "variant-membership", "Ghost"));
-  EXPECT_TRUE(has(f, "proto/message.h", 18, "span-member", "Pong"));
-  // Visitor tables in proto/message.cc.
-  EXPECT_TRUE(has(f, "proto/message.cc", 9, "wire-size-visitor", "Pong"));
-  EXPECT_TRUE(has(f, "proto/message.cc", 9, "wire-size-visitor", "Ghost"));
-  EXPECT_TRUE(has(f, "proto/message.cc", 14, "name-visitor", "Ghost"));
-  EXPECT_TRUE(has(f, "proto/message.cc", 14, "name-visitor", "Pong"));
-  // Capture serializer/parser.
-  EXPECT_TRUE(has(f, "capture/trace_io.cc", 1, "trace-io-write", "Pong"));
-  EXPECT_TRUE(has(f, "capture/trace_io.cc", 1, "trace-io-write", "Ghost"));
-  EXPECT_TRUE(has(f, "capture/trace_io.cc", 1, "trace-io-parse", "Ghost"));
+  // Variant / struct triangulation, both directions.
+  EXPECT_TRUE(has(f, "proto/message.h", 23, "variant-membership", "Stray"));
+  EXPECT_TRUE(has(f, "proto/message.h", 28, "variant-membership", "Ghost"));
   // Span docs: Ghost undocumented; Pong stamped but not in the table.
   EXPECT_TRUE(has(f, "docs/PROTOCOL.md", 3, "span-doc", "Ghost"));
   EXPECT_TRUE(has(f, "docs/PROTOCOL.md", 3, "span-doc", "Pong"));
@@ -124,16 +114,7 @@ TEST(LintBadTree, CompletenessFindings) {
   EXPECT_TRUE(has(f, "core/experiment.cc", 1, "drop-counter", "ghost_drops"));
   // uplink_drops is live and reconciled — no finding.
   EXPECT_FALSE(has(f, "net/transport.h", 9, "drop-counter", "uplink_drops"));
-  // Wire codec coverage: Tag enum, encode/decode branches, docs table —
-  // missing members and stale extras in both directions.
-  EXPECT_TRUE(has(f, "wire/codec.h", 9, "wire-tag", "Pong"));
-  EXPECT_TRUE(has(f, "wire/codec.h", 9, "wire-tag", "Ghost"));
-  EXPECT_TRUE(has(f, "wire/codec.h", 9, "wire-tag", "Stale"));
-  EXPECT_FALSE(has(f, "wire/codec.h", 9, "wire-tag", "Ping"));
-  EXPECT_TRUE(has(f, "wire/codec.cc", 1, "wire-encode", "Pong"));
-  EXPECT_TRUE(has(f, "wire/codec.cc", 1, "wire-encode", "Ghost"));
-  EXPECT_TRUE(has(f, "wire/codec.cc", 1, "wire-decode", "Pong"));
-  EXPECT_TRUE(has(f, "wire/codec.cc", 1, "wire-decode", "Ghost"));
+  // Wire packet table vs the variant, both directions.
   EXPECT_TRUE(has(f, "docs/WIRE.md", 3, "wire-doc", "Pong"));
   EXPECT_TRUE(has(f, "docs/WIRE.md", 3, "wire-doc", "Ghost"));
   EXPECT_TRUE(has(f, "docs/WIRE.md", 3, "wire-doc", "Phantom"));
@@ -165,7 +146,7 @@ TEST(LintBadTree, CompletenessFindings) {
 
 TEST(LintBadTree, ExactFindingCountAndSorted) {
   const std::vector<Finding> f = run_all(load("badtree"));
-  EXPECT_EQ(f.size(), 44u);
+  EXPECT_EQ(f.size(), 29u);
   EXPECT_TRUE(std::is_sorted(f.begin(), f.end(), [](const Finding& a,
                                                     const Finding& b) {
     return std::tie(a.pass, a.file, a.line, a.check, a.token) <

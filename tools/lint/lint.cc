@@ -31,8 +31,9 @@ const std::vector<PassInfo>& passes() {
        "(order-dependent under parallel reduction)",
        &pass_float_order},
       {"completeness",
-       "proto/message.h variant vs wire_size/name/trace-io/span/drop-counter "
-       "tables: no message type may silently skip one",
+       "cross-checks no compiler sees: message variant vs span docs/stamps "
+       "and the wire packet table, drop counters vs their increments, "
+       "published name lists vs docs",
        &pass_completeness},
   };
   return kPasses;

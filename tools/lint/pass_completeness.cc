@@ -1,29 +1,23 @@
-// Pass `completeness` — cross-checks every per-message-type table against
-// the `Message` variant in proto/message.h, extending the in-file
-// static_assert counter audit (proto/counters.h) to checks no compiler
-// sees. A new message type must not be able to silently skip:
+// Pass `completeness` — cross-checks the per-message-type tables no
+// compiler sees against the `Message` variant in proto/message.h. The
+// tables in code (message names, wire_size, the wire codec's body encoders
+// and decoders, the capture format's field lists) are derived from the
+// variant, so a type missing from one of them is a compile error; what is
+// left are the docs and the span-stamping convention:
 //
-//   wire-size-visitor   SizeVisitor in proto/message.cc (wire_size)
-//   name-visitor        NameVisitor in proto/message.cc (message_name),
-//                       including the returned "TypeName" string literal
-//   trace-io-write      the per-type serializer in capture/trace_io.cc
-//   trace-io-parse      the per-type `type == "X"` parser branch there
-//   span-member         the trailing SpanContext member (uniform layout)
+//   variant-membership  struct list == variant list, both directions
 //   span-doc            the span-propagation section of docs/PROTOCOL.md
 //   span-stamp          a `<msg>.span = SpanContext{...}` stamping site in
 //                       proto/*.cc for every type the doc table lists
-//   variant-membership  struct list == variant list, both directions
 //
 // Plus the transport drop-counter audit ("every packet lands in exactly
 // one bucket", PR 3): every `*_drops` field of net::Transport's Stats must
 // have an increment site in net/ and appear in the total-drops
 // reconciliation in core/experiment.cc.
 //
-// Plus the wire-codec audit (real-wire mode, docs/WIRE.md): every Message
-// variant must have a Tag entry in wire/codec.h (wire-tag), an encode
-// branch and a decode branch in wire/codec.cc (wire-encode / wire-decode),
-// and a packet-table row in docs/WIRE.md (wire-doc) — and each of those
-// four tables must name only variant members, both directions.
+// Plus the wire-format doc audit (real-wire mode): the packet-format table
+// in docs/WIRE.md must list exactly the Message variant's members
+// (wire-doc), both directions.
 //
 // Plus the resource-gauge audit (scale observatory): the gauge names
 // obs::ResourceProbe publishes (kResourceGaugeNames in
@@ -41,7 +35,6 @@
 // wire/telemetry.h and the "Telemetry record types" table in
 // docs/OBSERVABILITY.md must list exactly the same record types.
 
-#include <cctype>
 #include <map>
 #include <set>
 #include <string>
@@ -159,10 +152,6 @@ void add(std::vector<Finding>* findings, std::string file, int line,
                               std::move(detail)});
 }
 
-int line_or_1(const std::string& text, std::size_t pos) {
-  return pos == std::string::npos ? 1 : line_of(text, pos);
-}
-
 void check_message_tables(const Tree& tree, std::vector<Finding>* findings) {
   const SourceFile* msg_h = find_file(tree, "proto/message.h");
   if (msg_h == nullptr) return;  // tree without a protocol layer (fixtures)
@@ -176,7 +165,7 @@ void check_message_tables(const Tree& tree, std::vector<Finding>* findings) {
   for (const StructDecl& s : structs) by_name[s.name] = &s;
   const std::set<std::string> in_variant(variant.begin(), variant.end());
 
-  // variant-membership, both directions; span-member for every member.
+  // variant-membership, both directions.
   for (const StructDecl& s : structs) {
     if (!contains_word(s.body, "SpanContext")) continue;  // not a message
     if (!in_variant.contains(s.name))
@@ -185,66 +174,10 @@ void check_message_tables(const Tree& tree, std::vector<Finding>* findings) {
           "Message variant");
   }
   for (const std::string& name : variant) {
-    const auto it = by_name.find(name);
-    if (it == by_name.end()) {
+    if (!by_name.contains(name))
       add(findings, msg_h->rel, variant_line, "variant-membership", name,
           "Message variant names a type not declared as a struct in "
           "proto/message.h");
-      continue;
-    }
-    if (!contains_word(it->second->body, "SpanContext"))
-      add(findings, msg_h->rel, it->second->line, "span-member", name,
-          "message struct lacks the trailing `SpanContext span{};` member "
-          "every wire message carries (docs/PROTOCOL.md)");
-  }
-
-  // Visitor tables in proto/message.cc.
-  if (const SourceFile* msg_cc = find_file(tree, "proto/message.cc")) {
-    const std::string flat = collapse_ws(msg_cc->stripped);
-    const std::string flat_raw = collapse_ws(msg_cc->raw);
-    const std::size_t size_at = flat.find("struct SizeVisitor");
-    const std::size_t name_at = flat.find("struct NameVisitor");
-    const int size_line =
-        line_or_1(msg_cc->stripped, msg_cc->stripped.find("SizeVisitor"));
-    const int name_line =
-        line_or_1(msg_cc->stripped, msg_cc->stripped.find("NameVisitor"));
-    for (const std::string& name : variant) {
-      const std::string pat = "(const " + name + "&";
-      const std::size_t in_size = flat.find(pat);
-      if (size_at == std::string::npos || in_size == std::string::npos ||
-          (name_at != std::string::npos && in_size > name_at))
-        add(findings, msg_cc->rel, size_line, "wire-size-visitor", name,
-            "message type has no operator() in SizeVisitor — wire_size() "
-            "would not compile-break, it would std::visit the wrong "
-            "overload set; add the per-type size");
-      if (name_at == std::string::npos ||
-          flat.find(pat, name_at) == std::string::npos)
-        add(findings, msg_cc->rel, name_line, "name-visitor", name,
-            "message type has no operator() in NameVisitor; traces and "
-            "capture files would have no name for it");
-      else if (flat_raw.find("\"" + name + "\"") == std::string::npos)
-        add(findings, msg_cc->rel, name_line, "name-visitor", name,
-            "NameVisitor never returns the literal \"" + name +
-                "\"; capture round-trips key on that exact string");
-    }
-  }
-
-  // Per-type serializer + parser in capture/trace_io.cc.
-  if (const SourceFile* tio = find_file(tree, "capture/trace_io.cc")) {
-    const std::string flat = collapse_ws(tio->stripped);
-    const std::string flat_raw = collapse_ws(tio->raw);
-    for (const std::string& name : variant) {
-      if (flat.find("(const proto::" + name + "&") == std::string::npos &&
-          flat.find("(const " + name + "&") == std::string::npos)
-        add(findings, tio->rel, 1, "trace-io-write", name,
-            "capture/trace_io.cc has no payload serializer for this "
-            "message type; captured traces would drop it");
-      if (flat_raw.find("type == \"" + name + "\"") == std::string::npos)
-        add(findings, tio->rel, 1, "trace-io-parse", name,
-            "capture/trace_io.cc has no parser branch (type == \"" + name +
-                "\") for this message type; captured traces would not "
-                "round-trip");
-    }
   }
 
   // Span documentation + stamping sites.
@@ -364,80 +297,18 @@ void check_drop_counters(const Tree& tree, std::vector<Finding>* findings) {
   }
 }
 
-/// Wire-codec coverage: proto/message.h's variant vs the four per-message
-/// tables of the real-wire mode — the Tag enum (wire/codec.h), the encode
-/// visitor and the decode switch (wire/codec.cc), and the packet-format
-/// table in docs/WIRE.md. A message type silently missing from any of them
-/// would be unsendable (encode falls through), undecodable (decode rejects
-/// its tag), or undocumented on the wire.
-void check_wire_codec(const Tree& tree, std::vector<Finding>* findings) {
-  const SourceFile* codec_h = find_file(tree, "wire/codec.h");
-  if (codec_h == nullptr) return;  // tree without the wire layer (fixtures)
+/// The packet-format table in docs/WIRE.md vs proto/message.h's variant,
+/// both directions: a message type the wire carries must have its body
+/// layout documented, and the table must not document a phantom type.
+void check_wire_doc(const Tree& tree, std::vector<Finding>* findings) {
+  if (find_file(tree, "wire/codec.h") == nullptr)
+    return;  // tree without the wire layer (fixtures)
   const SourceFile* msg_h = find_file(tree, "proto/message.h");
   if (msg_h == nullptr) return;
   const std::vector<std::string> variant = parse_variant(msg_h->stripped);
   if (variant.empty()) return;
   const std::set<std::string> in_variant(variant.begin(), variant.end());
 
-  // Tag entries: `kX` enumerators inside `enum class Tag { ... }`.
-  const std::size_t tag_at = codec_h->stripped.find("enum class Tag");
-  if (tag_at == std::string::npos) {
-    add(findings, codec_h->rel, 1, "wire-tag", "Tag",
-        "wire/codec.h no longer declares `enum class Tag`; the codec "
-        "coverage audit needs the per-message tag list");
-    return;
-  }
-  const int tag_line = line_of(codec_h->stripped, tag_at);
-  const std::size_t tag_open = codec_h->stripped.find('{', tag_at);
-  const std::size_t tag_close = tag_open == std::string::npos
-                                    ? std::string::npos
-                                    : codec_h->stripped.find('}', tag_open);
-  if (tag_close == std::string::npos) return;
-  std::set<std::string> tags;
-  for (std::size_t i = tag_open; i < tag_close;) {
-    if (!is_ident_char(codec_h->stripped[i])) {
-      ++i;
-      continue;
-    }
-    std::size_t end = i;
-    while (end < tag_close && is_ident_char(codec_h->stripped[end])) ++end;
-    const std::string ident = codec_h->stripped.substr(i, end - i);
-    if (ident.size() > 1 && ident[0] == 'k' &&
-        (std::isupper(static_cast<unsigned char>(ident[1])) != 0))
-      tags.insert(ident.substr(1));  // kJoinQuery -> JoinQuery
-    i = end;
-  }
-
-  for (const std::string& name : variant)
-    if (!tags.contains(name))
-      add(findings, codec_h->rel, tag_line, "wire-tag", name,
-          "message type has no enumerator in wire::Tag; the wire cannot "
-          "carry it (add `k" + name + "` with the variant's index)");
-  for (const std::string& name : tags)
-    if (!in_variant.contains(name))
-      add(findings, codec_h->rel, tag_line, "wire-tag", name,
-          "wire::Tag names a type that is not a Message variant member; "
-          "remove the stale enumerator");
-
-  // Encode visitor + decode switch branches in wire/codec.cc.
-  if (const SourceFile* codec_cc = find_file(tree, "wire/codec.cc")) {
-    const std::string flat = collapse_ws(codec_cc->stripped);
-    for (const std::string& name : variant) {
-      if (flat.find("(const proto::" + name + "&") == std::string::npos &&
-          flat.find("(const " + name + "&") == std::string::npos)
-        add(findings, codec_cc->rel, 1, "wire-encode", name,
-            "wire/codec.cc has no encode branch (operator() overload) for "
-            "this message type; encode_message would not compile-break, "
-            "it would visit the wrong overload set");
-      if (flat.find("case Tag::k" + name + ":") == std::string::npos)
-        add(findings, codec_cc->rel, 1, "wire-decode", name,
-            "wire/codec.cc has no `case Tag::k" + name +
-                ":` decode branch; datagrams carrying this tag would be "
-                "rejected as undecodable");
-    }
-  }
-
-  // Packet-format table in docs/WIRE.md, both directions.
   const auto doc = tree.docs.find("WIRE.md");
   if (doc == tree.docs.end()) {
     add(findings, "docs/WIRE.md", 1, "wire-doc", "WIRE.md",
@@ -705,7 +576,7 @@ void check_telemetry_records(const Tree& tree,
 void pass_completeness(const Tree& tree, std::vector<Finding>* findings) {
   check_message_tables(tree, findings);
   check_drop_counters(tree, findings);
-  check_wire_codec(tree, findings);
+  check_wire_doc(tree, findings);
   check_resource_gauges(tree, findings);
   check_rx_errors(tree, findings);
   check_telemetry_records(tree, findings);

@@ -32,13 +32,14 @@ void pass_layering(const Tree& tree, std::vector<Finding>* findings);
 /// reordering that parallel reduction will introduce.
 void pass_float_order(const Tree& tree, std::vector<Finding>* findings);
 
-/// variant-membership / span-member / wire-size-visitor / name-visitor /
-/// trace-io-write / trace-io-parse / span-doc / span-stamp / drop-counter /
-/// wire-tag / wire-encode / wire-decode / wire-doc / resource-gauge-doc:
-/// cross-checks the proto/message.h variant against every per-message-type
-/// table so a new message type cannot silently skip one — including the
-/// wire codec's Tag enum, encode/decode branches and docs/WIRE.md packet
-/// table — and the ResourceProbe gauge list against its docs table.
+/// variant-membership / span-doc / span-stamp / drop-counter / wire-doc /
+/// resource-gauge-doc / rx-error-export / rx-error-doc /
+/// telemetry-record-doc: cross-checks the tables no compiler sees — the
+/// proto/message.h variant against the span docs, stamping sites and the
+/// docs/WIRE.md packet table, transport drop buckets against their
+/// increments and reconciliation, and published name lists against their
+/// docs tables. Per-message tables in code derive from the variant and are
+/// enforced by the compiler instead.
 void pass_completeness(const Tree& tree, std::vector<Finding>* findings);
 
 }  // namespace ppsim::lint
